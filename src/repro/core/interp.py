@@ -15,6 +15,16 @@ interior and is replaced by linear extrapolation at the fringe, as the
 paper prescribes).
 
 Categorical modes never interpolate: the cell index is used directly.
+
+Two evaluators share these weights.  :func:`interpolate` is the generic
+one: it stacks every corner's multi-index and calls an element-wise
+``corner_eval`` once (any decomposition; the Tucker path).
+:func:`cp_blend` is the CP-specialised one: corners that agree on a
+prefix of modes share that prefix of the CP row product, so it builds all
+``2^q`` products as a binary tree over the modes instead of gathering
+``d`` factor rows per corner — with results bit-identical to
+``interpolate`` over ``cp_eval`` (same per-corner multiplication order,
+same corner order, same reductions).
 """
 from __future__ import annotations
 
@@ -22,7 +32,7 @@ import numpy as np
 
 from repro.core.grid import TensorGrid
 
-__all__ = ["interpolation_weights", "corner_stack", "interpolate"]
+__all__ = ["interpolation_weights", "corner_stack", "interpolate", "cp_blend"]
 
 
 def interpolation_weights(grid: TensorGrid, X: np.ndarray, active=None):
@@ -144,3 +154,60 @@ def interpolate(grid: TensorGrid, corner_eval, X: np.ndarray, active=None) -> np
     C, n = w.shape
     vals = np.asarray(corner_eval(idx), dtype=float).reshape(C, n)
     return np.einsum("cn,cn->n", w, vals)
+
+
+def cp_blend(grid: TensorGrid, factors, corner_value, X: np.ndarray,
+             active=None, rows=None) -> np.ndarray:
+    """Eq. 5 over a CP model, with corner products built as a tree.
+
+    Equals ``interpolate(grid, lambda idx: corner_value(cp_eval(factors,
+    idx)), X, active)`` bit for bit, without the ``(2^q * n, d)`` index
+    stack or its per-corner gathers.  Modes are walked in order over a
+    ``(2^q, n, R)`` buffer whose first ``k`` slabs hold the row products
+    of the corners seen so far: an active mode doubles it in place
+    (``P[k:2k] = P[:k] * U_j[hi]``, then ``P[:k] *= U_j[lo]``), any
+    other mode multiplies its ``k`` slabs by one row per configuration.
+    Corner ``c`` therefore ends as the left-to-right mode product of
+    ``cp_eval``, in :func:`corner_stack`'s binary-counting order.
+
+    Parameters
+    ----------
+    factors
+        CP factor matrices ``U_j``, shape ``(I_j, R)``.
+    corner_value
+        Element-wise map from raw CP values ``(2^q * n,)`` (corner-major)
+        to the blended quantity, e.g. a clamped log element.
+    active
+        Optional per-mode interpolation mask (see
+        :func:`interpolation_weights`).
+    rows
+        Optional ``{j: (n, R) array}`` of per-configuration factor rows
+        replacing ``U_j`` along mode ``j`` (Section 5.3's extrapolated
+        rows for out-of-domain modes, which must be inactive).
+    """
+    X = grid._check(X)
+    n = len(X)
+    if n == 0:
+        return np.zeros(0)
+    lo, hi, w_lo, w_hi, active = interpolation_weights(grid, X, active)
+    rows = rows or {}
+    C = 1 << int(active.sum())
+    P = np.empty((C, n, factors[0].shape[1]))
+    W = np.empty((C, n))
+    P[0] = 1.0
+    W[0] = 1.0
+    k = 1
+    for j, U in enumerate(factors):
+        f_lo = rows[j] if j in rows else U[lo[:, j]]
+        if active[j]:
+            np.multiply(P[:k], U[hi[:, j]], out=P[k:2 * k])
+            np.multiply(W[:k], w_hi[:, j], out=W[k:2 * k])
+            W[:k] *= w_lo[:, j]
+            P[:k] *= f_lo
+            k *= 2
+        else:
+            P[:k] *= f_lo
+    # Same reductions as ``cp_eval`` (row sums of a (C*n, R) array) and
+    # ``interpolate`` (the corner-weighted einsum), so rounding matches.
+    vals = np.asarray(corner_value(P.reshape(C * n, -1).sum(axis=1)), dtype=float)
+    return np.einsum("cn,cn->n", W, vals.reshape(C, n))

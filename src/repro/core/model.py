@@ -37,7 +37,7 @@ from repro.core.completion import (
 )
 from repro.core.extrap import ModeExtrapolator
 from repro.core.grid import LogMode, TensorGrid, UniformMode
-from repro.core.interp import interpolate
+from repro.core.interp import cp_blend, interpolate
 from repro.core.tensor import ObservedTensor
 from repro.metrics import METRICS
 from repro.utils.serialization import model_size_bytes
@@ -426,15 +426,16 @@ class CPRModel:
 
     # -- element estimation ----------------------------------------------------
 
-    def _element(self, indices: np.ndarray) -> np.ndarray:
-        """Estimated tensor elements (execution-time units) at multi-indices."""
-        val = self._model_value(indices)
-        if self.loss == "log_mse":
-            return np.exp(np.clip(self.offset_ + val, self._log_lo, self._log_hi))
-        return np.exp(self.offset_) * val
-
     def _log_element(self, indices: np.ndarray) -> np.ndarray:
-        """Log-space element estimates, clamped (the log_mse blend input).
+        """Log-space element estimates at multi-indices (the blend input)."""
+        return self._log_value(self._model_value(indices))
+
+    def _log_value(self, val: np.ndarray) -> np.ndarray:
+        """Raw decomposition values -> log-space element estimates.
+
+        ``log_mse`` clamps ``offset + val`` to the observed log range;
+        ``mlogq2`` takes the log of the positive element, floored at
+        ``1e-300``.
 
         The paper's Section 5.2 display blends exponentiated elements
         ``e^that``; we blend in log space and exponentiate the blend, i.e.
@@ -444,8 +445,18 @@ class CPRModel:
         share — in sparse high-dimensional tensors this is the difference
         between a usable and a broken interpolant (see DESIGN.md).
         """
-        val = self._model_value(indices)
-        return np.clip(self.offset_ + val, self._log_lo, self._log_hi)
+        if self.loss == "log_mse":
+            return np.clip(self.offset_ + val, self._log_lo, self._log_hi)
+        return np.log(np.maximum(np.exp(self.offset_) * val, 1e-300))
+
+    def _log_blend(self, X, active=None, rows=None) -> np.ndarray:
+        """Eq. 5 blend of log elements over ``X``'s corners.
+
+        CP models evaluate it as a product tree (:func:`cp_blend`);
+        ``rows`` substitutes extrapolated factor rows along out-of-domain
+        modes.
+        """
+        return cp_blend(self.grid_, self.factors_, self._log_value, X, active, rows)
 
     def _extrapolator(self, j: int) -> ModeExtrapolator:
         if self.loss != "mlogq2":
@@ -533,9 +544,11 @@ class CPRModel:
     def predict(self, X, *, validate: bool = True) -> np.ndarray:
         """Predicted execution times for configurations ``X``.
 
-        Batched end to end: all rows of ``X`` flow through one fused
-        corner-blend evaluation (see :func:`repro.core.interp.interpolate`),
-        so this is also the serving fast path — callers should pass query
+        Batched end to end: all rows of ``X`` flow through one
+        corner-blend evaluation (the CP product tree of
+        :func:`repro.core.interp.cp_blend`; Tucker models use
+        :func:`repro.core.interp.interpolate`), so this is also the
+        serving fast path — callers should pass query
         *batches*, not loop per point.  ``validate=False`` skips
         :meth:`validate_queries` for callers that already ran it (the
         serving engine validates per request before microbatch coalescing;
@@ -577,11 +590,7 @@ class CPRModel:
         out = np.empty(len(X))
         if fully_in.any():
             rows = np.flatnonzero(fully_in)
-            if self.loss == "log_mse":
-                out[rows] = np.exp(interpolate(self.grid_, self._log_element, X[rows]))
-            else:
-                log_elem = lambda idx: np.log(np.maximum(self._element(idx), 1e-300))
-                out[rows] = np.exp(interpolate(self.grid_, log_elem, X[rows]))
+            out[rows] = np.exp(self._log_blend(X[rows]))
         if not fully_in.all():
             self._predict_extrapolated(X, in_dom, ~fully_in, out)
         # Signed fringe weights can produce non-positive blends; clamp to a
@@ -595,37 +604,17 @@ class CPRModel:
         for r in rows:
             key = tuple(np.flatnonzero(~in_dom[r]))
             patterns.setdefault(key, []).append(r)
-        scale = np.exp(self.offset_)
-        d = self.grid_.order
         for key, rlist in patterns.items():
             ridx = np.asarray(rlist, dtype=np.intp)
             Xg = X[ridx]
             ext_rows = {j: self._extrapolator(j).factor_rows(Xg[:, j]) for j in key}
-            outside = set(key)
-
-            def corner_eval(idx, _ext=ext_rows, _outside=outside, _n=len(ridx)):
-                # ``interpolate`` stacks all 2^q corners corner-major, so the
-                # per-configuration extrapolated factor rows tile verbatim.
-                reps = len(idx) // _n
-                prod = None
-                for j in range(d):
-                    if j in _outside:
-                        f = np.tile(_ext[j], (reps, 1))
-                    else:
-                        f = self.factors_[j][idx[:, j]]
-                    prod = f.copy() if prod is None else prod * f
-                val = scale * prod.sum(axis=1)
-                return np.log(np.maximum(val, 1e-300))
-
             active = np.array(
                 [
-                    m.interpolates and m.n_cells > 1 and (j not in outside)
+                    m.interpolates and m.n_cells > 1 and (j not in ext_rows)
                     for j, m in enumerate(self.grid_.modes)
                 ]
             )
-            out[ridx] = np.exp(
-                interpolate(self.grid_, corner_eval, Xg, active=active)
-            )
+            out[ridx] = np.exp(self._log_blend(Xg, active, ext_rows))
 
     # -- assessment ---------------------------------------------------------------
 
@@ -853,6 +842,11 @@ class TuckerModel(CPRModel):
 
     def _model_value(self, indices: np.ndarray) -> np.ndarray:
         return self.tucker_.eval_at(indices)
+
+    def _log_blend(self, X, active=None, rows=None) -> np.ndarray:
+        # A Tucker core couples every mode, so there is no product tree:
+        # evaluate the stacked corners through the generic blend.
+        return interpolate(self.grid_, self._log_element, X, active)
 
     def _extrapolator(self, j: int):
         raise ValueError(

@@ -2,11 +2,12 @@
 
 The engine is the serving hot path: a query batch is validated once
 (:meth:`~repro.core.CPRModel.validate_queries`), then flows through the
-model's fused corner-blend evaluation in **one vectorized call per
-chunk** — there is no per-point Python loop anywhere between the JSON
-boundary and the BLAS kernels.  Chunking (``max_batch``) only bounds the
-transient ``2^q x n`` corner-stack memory for pathological batch sizes;
-within a chunk everything is a single ``cp_eval``.
+model's corner-blend evaluation in **one vectorized call per chunk** —
+there is no per-point Python loop anywhere between the JSON boundary and
+the numpy kernels.  For CP models that call is the product-tree blend
+(:func:`repro.core.interp.cp_blend`); chunking (``max_batch``) only
+bounds its transient ``(2^q, n, R)`` product buffer for pathological
+batch sizes.
 
 Every flush is timed, so :meth:`stats` doubles as the microbatching
 telemetry: under a coalescing server, ``queries / batches`` is the

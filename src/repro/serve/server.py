@@ -642,14 +642,30 @@ def _http_handler(server: ModelServer):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted socket.  With Nagle on, a small
+        # write is held until the previous one is acknowledged, and a
+        # client waiting for the rest of a reply delays that ACK by up
+        # to ~40 ms; any reply sent in more than one write (stdlib error
+        # replies are) would pay that timer.
+        disable_nagle_algorithm = True
 
         def _reply(self, payload: dict, status: int = 200) -> None:
+            # Status line, headers and body leave in one write: a reply
+            # split into a header write and a body write is the
+            # write-write-read pattern that stalls on delayed ACKs.
             body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self.log_request(status)
+            lines = [
+                f"{self.protocol_version} {status} {self.responses[status][0]}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                "Content-Type: application/json",
+                f"Content-Length: {len(body)}",
+            ]
+            if self.close_connection:
+                lines.append("Connection: close")
+            head = "\r\n".join(lines) + "\r\n\r\n"
+            self.wfile.write(head.encode("latin-1") + body)
 
         def do_GET(self):  # health / liveness probe
             self._reply(server.handle({"op": "ping"}))
@@ -657,8 +673,19 @@ def _http_handler(server: ModelServer):
         def do_POST(self):
             try:
                 length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                length = -1
+            if length < 0:
+                # The body's extent is unknown, so nothing after it on
+                # this stream can be framed: answer, then hang up rather
+                # than read (a negative read blocks until EOF) or parse
+                # the body as the next request.
+                self.close_connection = True
+                self._reply({"ok": False, "error": "bad Content-Length"}, 400)
+                return
+            try:
                 request = json.loads(self.rfile.read(length) or b"{}")
-            except (ValueError, json.JSONDecodeError):
+            except ValueError:  # includes JSONDecodeError, bad UTF-8
                 self._reply({"ok": False, "error": "bad JSON request body"}, 400)
                 return
             response = server.handle(request)

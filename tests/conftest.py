@@ -1,6 +1,8 @@
 """Shared fixtures: small cached datasets and deterministic generators."""
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,47 @@ def smooth_2d():
     X = np.exp(gen.uniform(np.log(1.0), np.log(100.0), size=(2000, 2)))
     y = 1e-3 * X[:, 0] ** 1.5 * X[:, 1] ** 0.5
     return X, y
+
+
+class _CountingSocket:
+    """An accepted connection that counts the writes sent through it."""
+
+    def __init__(self, sock, writes: list):
+        self._sock = sock
+        self._writes = writes
+
+    def sendall(self, data, *args):
+        self._writes.append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def send(self, data, *args):
+        self._writes.append(len(data))
+        return self._sock.send(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.fixture()
+def recording_http_handler():
+    """Factory wrapping an HTTP handler class for transport assertions.
+
+    ``wrap(base) -> (cls, seen)``: every connection ``cls`` accepts
+    appends its ``TCP_NODELAY`` option to ``seen["nodelay"]`` and the
+    byte count of each socket write to ``seen["writes"]``.
+    """
+
+    def wrap(base):
+        seen = {"nodelay": [], "writes": []}
+
+        class Recording(base):
+            def setup(self):
+                self.request = _CountingSocket(self.request, seen["writes"])
+                super().setup()
+                seen["nodelay"].append(
+                    self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                )
+
+        return Recording, seen
+
+    return wrap

@@ -5,6 +5,7 @@ import http.client
 import json
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -15,7 +16,8 @@ from repro.core import CPRModel
 from repro.datasets import generate_dataset
 from repro.serve import ModelRegistry, ServeFleet
 from repro.serve import shm_store
-from repro.serve.fleet import make_worker_server
+from repro.serve.fleet import _new_socket, _SocketHTTPServer, make_worker_server
+from repro.serve.server import _http_handler
 from repro.utils.serialization import model_digest
 
 pytestmark = pytest.mark.skipif(
@@ -176,6 +178,39 @@ def test_worker_server_disk_fallback_without_segment(tmp_path, bcast_data, fitte
         assert stats["engines"][0]["source"] == "local"
     finally:
         server.close()
+
+
+def test_worker_http_server_disables_nagle_and_replies_in_one_write(
+    tmp_path, bcast_data, fitted, recording_http_handler
+):
+    """A worker's HTTP stack, built in-process exactly as a forked worker
+    builds it: accepted sockets set TCP_NODELAY and every reply leaves in
+    one write, so a keep-alive client never waits on a delayed ACK."""
+    _, _, test = bcast_data
+    ModelRegistry(tmp_path).publish("m", fitted)
+    server = make_worker_server(_worker_cfg(tmp_path, shm=False))
+    handler, seen = recording_http_handler(_http_handler(server))
+    sock = _new_socket("127.0.0.1", 0, reuseport=False)
+    httpd = _SocketHTTPServer(sock, handler, listen=True)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        conn = http.client.HTTPConnection("127.0.0.1", sock.getsockname()[1], timeout=5)
+        try:
+            for rows in (1, 16):
+                body = json.dumps({"op": "predict", "x": test.X[:rows].tolist()})
+                conn.request("POST", "/", body)
+                resp = conn.getresponse()
+                assert resp.status == 200 and json.loads(resp.read())["n"] == rows
+        finally:
+            conn.close()
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+        server.close()
+    assert seen["nodelay"] == [1]
+    assert len(seen["writes"]) == 2
 
 
 # -- the fleet proper ----------------------------------------------------------

@@ -1,9 +1,11 @@
 """Serving subsystem: registry, engine, server protocol, publish hooks."""
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
+import socket
 import stat
 import threading
 import time
@@ -15,7 +17,7 @@ from repro.apps import Broadcast
 from repro.core import CPRModel
 from repro.datasets import generate_dataset
 from repro.serve import MicroBatcher, ModelRegistry, ModelServer, PredictionEngine
-from repro.serve.server import serve_stdin
+from repro.serve.server import serve_http, serve_stdin
 from repro.utils.serialization import dumps_model, loads_model, model_digest
 
 
@@ -1000,3 +1002,120 @@ def test_runtime_on_result_hook_skips_cache_hits(tmp_path):
     again = rt.run([spec])  # cache hit: hook must not re-fire
     assert calls == [(spec.key, "cpr")]
     assert again == first and rt.hits == 1
+
+
+# -- HTTP transport: no delayed-ACK stall, malformed framing -------------------
+
+
+@contextlib.contextmanager
+def _http_server(srv, wrap):
+    """Run ``serve_http(srv)`` on an ephemeral port; yield ``(port, seen)``.
+
+    ``wrap`` is the ``recording_http_handler`` fixture: ``seen`` collects
+    each accepted socket's ``TCP_NODELAY`` and every write's size.
+    """
+    httpd = serve_http(srv, 0)
+    httpd.RequestHandlerClass, seen = wrap(httpd.RequestHandlerClass)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield httpd.server_address[1], seen
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+
+
+def _post_raw(sock, body: bytes, length=None) -> None:
+    length = len(body) if length is None else length
+    sock.sendall(
+        b"POST / HTTP/1.1\r\nHost: t\r\nContent-Length: "
+        + str(length).encode()
+        + b"\r\n\r\n"
+        + body
+    )
+
+
+def _read_reply(sock) -> tuple:
+    """One HTTP reply off a raw socket: ``(status, headers, payload)``."""
+    buf = b""
+    while b"\r\n\r\n" not in buf:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed mid-headers: {buf!r}"
+        buf += chunk
+    head, _, rest = buf.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        k.strip().lower(): v.strip()
+        for k, v in (line.split(":", 1) for line in lines[1:])
+    }
+    length = int(headers["content-length"])
+    while len(rest) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        rest += chunk
+    assert len(rest) == length, "bytes past the reply body"
+    return int(lines[0].split()[1]), headers, json.loads(rest)
+
+
+def test_http_accepted_sockets_disable_nagle(server, recording_http_handler):
+    srv, _ = server
+    with _http_server(srv, recording_http_handler) as (port, seen):
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            _post_raw(sock, b'{"op": "ping"}')
+            assert _read_reply(sock)[0] == 200
+    assert seen["nodelay"] == [1]
+
+
+def test_http_each_reply_is_one_write(
+    tmp_path, bcast_data, fitted, recording_http_handler
+):
+    """200, 400 and 503 replies each leave in exactly one socket write."""
+    _, _, test = bcast_data
+    reg = ModelRegistry(tmp_path)
+    reg.publish("bcast", fitted)
+    srv = ModelServer(reg, default_model="bcast", max_inflight=1)
+    predict = json.dumps({"op": "predict", "x": test.X[:8].tolist()}).encode()
+    try:
+        with _http_server(srv, recording_http_handler) as (port, seen):
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                _post_raw(sock, predict)
+                status, _, payload = _read_reply(sock)
+                assert status == 200 and payload["n"] == 8
+                assert len(seen["writes"]) == 1
+
+                _post_raw(sock, b"{not json")
+                status, _, payload = _read_reply(sock)
+                assert status == 400 and "bad JSON" in payload["error"]
+                assert len(seen["writes"]) == 2
+
+                srv._admit()  # hold the only slot: the next predict is shed
+                try:
+                    _post_raw(sock, predict)
+                    status, _, payload = _read_reply(sock)
+                finally:
+                    srv._release()
+                assert status == 503 and payload["error"] == "overloaded"
+                assert len(seen["writes"]) == 3
+    finally:
+        srv.close()
+
+
+@pytest.mark.parametrize("length", [b"-1", b"12abc"])
+def test_http_malformed_content_length_answers_400_and_closes(
+    server, recording_http_handler, length
+):
+    """A negative length must not block in read(-1), and a non-integer one
+    must not leave its body on the stream to be parsed as a request."""
+    srv, _ = server
+    with _http_server(srv, recording_http_handler) as (port, _seen):
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                b"POST / HTTP/1.1\r\nHost: t\r\nContent-Length: " + length
+                + b"\r\n\r\nGET / HTTP/1.1\r\nHost: t\r\n\r\n"
+            )
+            status, headers, payload = _read_reply(sock)
+            assert status == 400 and payload["error"] == "bad Content-Length"
+            assert headers["connection"] == "close"
+            # The server hung up: no second reply to the smuggled GET.
+            assert sock.recv(65536) == b""
