@@ -11,6 +11,10 @@ numba leg and numba-less hosts produce comparable trajectories.  The
 large configuration (64 cells per mode, rank 16, order 4) is the
 paper-scale setting the batched rewrite targets: the assertions require
 the vectorized kernels to hold at least a 5x fit speedup there.
+
+Each fit record also breaks one ``numpy_batched`` ALS sweep into its
+layers (``als_numpy_batched_{plan,khatri_rao,gram,solve}_ms``), so the
+trajectory shows which layer a change moved.
 """
 import time
 
@@ -18,9 +22,11 @@ import numpy as np
 
 from repro.core import CPRModel
 from repro.core.completion import (
+    ObservationPlan,
     complete_als,
     complete_amn,
     registered_backends,
+    solve_batched_spd,
 )
 
 from _report import perf_asserts_enabled, report, report_perf, run_once
@@ -66,6 +72,42 @@ def _backends_record():
     return {"config": "backends", "available": available, "skipped": skipped}
 
 
+def _als_layers(shape, idx, vals, factors, lam=1e-5):
+    """Best-of-3 milliseconds of each layer of one ``numpy_batched`` sweep.
+
+    ``plan_ms`` builds the observation plan and every mode's sorted
+    layout (once per fit); ``khatri_rao_ms``, ``gram_ms`` and ``solve_ms``
+    sum the design-row gather, the padded Gram assembly and the batched
+    SPD solve over the ``d`` mode updates of one sweep, replayed on
+    ``factors``.
+    """
+    d = len(shape)
+
+    def build():
+        plan = ObservationPlan(shape, idx)
+        for j in range(d):
+            plan.mode(j)
+        return plan
+
+    plan_s, plan = _best_of(build)
+    layers = {"plan": plan_s, "khatri_rao": 0.0, "gram": 0.0, "solve": 0.0}
+    for j in range(d):
+        mp = plan.mode(j)
+        if mp.n_obs == 0 or not mp.pad_feasible:
+            continue
+        t, K = _best_of(lambda: plan.khatri_rao(factors, j))
+        layers["khatri_rao"] += t
+        t, G = _best_of(lambda: mp.gram(K))
+        layers["gram"] += t
+        G += lam * np.eye(G.shape[-1]) * mp.counts_obs[:, None, None]
+        b = mp.seg_sum(K * plan.sorted_values(vals, j)[:, None])
+        layers["solve"] += _best_of(lambda: solve_batched_spd(G, b))[0]
+    return {
+        f"als_numpy_batched_{name}_ms": round(1e3 * t, 4)
+        for name, t in layers.items()
+    }
+
+
 def _fit_records(available):
     records = []
     for name, cells, order, rank, nnz in CONFIGS:
@@ -94,6 +136,8 @@ def _fit_records(available):
                 times[backend], res = _best_of(fn)
                 hist[backend] = res.history[-1]
                 row[f"{opt}_{backend}_s"] = round(times[backend], 4)
+                if opt == "als" and backend == "numpy_batched":
+                    row.update(_als_layers(*args, res.factors))
             for backend in available:
                 if backend == "reference":
                     continue

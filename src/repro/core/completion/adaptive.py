@@ -47,6 +47,7 @@ from repro.core.completion.backends import resolve_backend
 from repro.core.completion.objectives import columnwise_penalty
 from repro.core.completion.state import (
     CompletionResult,
+    check_observations,
     cp_component_norms,
     cp_eval,
     init_factors,
@@ -155,15 +156,8 @@ def complete_als_regularized(
             max_sweeps=max_sweeps, tol=tol, seed=seed, factors=factors,
             scale_rows=scale_rows, kernel=kernel, plan=plan,
         )
-    indices = np.asarray(indices, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    if len(indices) != len(values):
-        raise ValueError("indices/values length mismatch")
-    if len(values) == 0:
-        raise ValueError("cannot complete a tensor with zero observations")
+    indices, values = check_observations(shape, indices, values)
     d = len(shape)
-    if d < 2:
-        raise ValueError("tensor completion needs order >= 2")
     backend = resolve_backend(kernel)
     if not backend.supports_column_penalties:
         raise ValueError(
@@ -310,12 +304,7 @@ def complete_als_adaptive(
     rank re-selection is a *refit* decision, which is exactly when the
     streaming trainer rebuilds the model from scratch.
     """
-    indices = np.asarray(indices, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    if len(indices) != len(values):
-        raise ValueError("indices/values length mismatch")
-    if len(values) == 0:
-        raise ValueError("cannot complete a tensor with zero observations")
+    indices, values = check_observations(shape, indices, values)
     backend = resolve_backend(kernel)
 
     if isinstance(rank, str):

@@ -19,6 +19,14 @@ Implementation notes (hot path, vectorized per the hpc-parallel guides):
   row by the fit-wide :class:`~repro.core.completion.state.ObservationPlan`,
   ragged per-row Gram matrices reduced with one zero-padded batched GEMM,
   the ``(n_rows, R, R)`` stack solved by a single batched LAPACK call).
+* That path is bound by memory passes, not arithmetic, so it makes each
+  pass cheap: the plan range-checks the indices once (every optimizer
+  also calls the shared ``check_observations`` first), the Khatri-Rao
+  gathers then run unchecked on contiguous index columns, padding is
+  one gather through a map whose padding slots read a zero row, and
+  ``K * t`` lands in a plan-owned buffer.  Values, product order and
+  reduction calls are unchanged, so fits are bit-identical to the
+  scatter-based layout they replaced.
 * The ``reference`` backend retains the seed's per-row loop (one
   ``argsort`` and one small solve per row per sweep) — the ground truth
   the equivalence tests compare against, and the slow baseline the
@@ -36,6 +44,7 @@ from repro.core.completion.objectives import ls_objective
 from repro.core.completion.state import (
     CompletionResult,
     ObservationPlan,
+    check_observations,
     init_factors,
 )
 from repro.utils.rng import as_generator
@@ -105,7 +114,8 @@ def _solve_rows_batched(plan, j, factors, t_sorted, lam, out, scale_rows):
     R = factors[j].shape[1]
     K = plan.khatri_rao(factors, j)
     G = mp.gram(K)                              # (n_obs, R, R)
-    b = mp.seg_sum(K * t_sorted[:, None])       # (n_obs, R)
+    Kt = np.multiply(K, t_sorted[:, None], out=plan.buffer("kt", R))
+    b = mp.seg_sum(Kt)                          # (n_obs, R)
     # scale_rows divides the data term by the row's observation count;
     # scaling the whole system by ``n_i`` instead folds that into the
     # regularization diagonal (identical solution, two fewer full-stack
@@ -122,7 +132,9 @@ def _solve_rows_batched(plan, j, factors, t_sorted, lam, out, scale_rows):
         diag = np.asarray(
             lam * mp.counts_obs if scale_rows else lam
         ).reshape(-1, 1)
-    G[:, np.arange(R), np.arange(R)] += diag
+    # Strided view of the stacked diagonals: the same additions as
+    # ``G[:, arange(R), arange(R)] += diag`` without the fancy indexing.
+    G.reshape(len(G), R * R)[:, :: R + 1] += diag
     out[mp.obs_rows] = solve_batched_spd(G, b)
 
 
@@ -220,15 +232,8 @@ def complete_als(
         ``history[k]`` is the Eq. 3 objective (mean data term) after sweep
         ``k``; monotone non-increasing when ``scale_rows=False``.
     """
-    indices = np.asarray(indices, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    if len(indices) != len(values):
-        raise ValueError("indices/values length mismatch")
-    if len(values) == 0:
-        raise ValueError("cannot complete a tensor with zero observations")
+    indices, values = check_observations(shape, indices, values)
     d = len(shape)
-    if d < 2:
-        raise ValueError("tensor completion needs order >= 2")
     backend = resolve_backend(kernel)
     if factors is None:
         factors = init_factors(shape, rank, rng=as_generator(seed))

@@ -51,6 +51,7 @@ from repro.core.completion.objectives import logq_objective
 from repro.core.completion.state import (
     CompletionResult,
     ObservationPlan,
+    check_observations,
     init_positive_factors,
     solve_batched_spd,
 )
@@ -263,17 +264,10 @@ def complete_amn(
         sweep; all returned factors are strictly positive, so the Perron
         rank-1 extrapolation of Section 5.3 applies.
     """
-    indices = np.asarray(indices, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    if len(indices) != len(values):
-        raise ValueError("indices/values length mismatch")
-    if len(values) == 0:
-        raise ValueError("cannot complete a tensor with zero observations")
+    indices, values = check_observations(shape, indices, values)
     if np.any(values <= 0):
         raise ValueError("AMN requires strictly positive observed values")
     d = len(shape)
-    if d < 2:
-        raise ValueError("tensor completion needs order >= 2")
     backend = resolve_backend(kernel)
     lam = float(regularization)
     if factors is None:

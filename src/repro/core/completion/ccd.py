@@ -28,6 +28,7 @@ from repro.core.completion.objectives import ls_objective
 from repro.core.completion.state import (
     CompletionResult,
     ObservationPlan,
+    check_observations,
     cp_eval,
     init_factors,
 )
@@ -56,15 +57,8 @@ def complete_ccd(
     :class:`ObservationPlan` (CCD only needs its observed-row masks, but
     a warm-start caller avoids rebuilding them per update).
     """
-    indices = np.asarray(indices, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    if len(indices) != len(values):
-        raise ValueError("indices/values length mismatch")
-    if len(values) == 0:
-        raise ValueError("cannot complete a tensor with zero observations")
+    indices, values = check_observations(shape, indices, values)
     d = len(shape)
-    if d < 2:
-        raise ValueError("tensor completion needs order >= 2")
     if factors is None:
         factors = init_factors(shape, rank, rng=as_generator(seed))
     lam = float(regularization)

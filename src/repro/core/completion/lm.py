@@ -29,6 +29,7 @@ import scipy.linalg
 from repro.core.completion.objectives import ls_objective
 from repro.core.completion.state import (
     CompletionResult,
+    check_observations,
     cp_eval,
     init_factors,
     khatri_rao_rows,
@@ -109,15 +110,8 @@ def complete_lm(
     One "sweep" is one accepted LM step (all factors updated at once).
     ``max_params`` guards the dense ``P x P`` normal matrix.
     """
-    indices = np.asarray(indices, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    if len(indices) != len(values):
-        raise ValueError("indices/values length mismatch")
-    if len(values) == 0:
-        raise ValueError("cannot complete a tensor with zero observations")
+    indices, values = check_observations(shape, indices, values)
     d = len(shape)
-    if d < 2:
-        raise ValueError("tensor completion needs order >= 2")
     P = rank * int(np.sum(shape))
     if P > max_params:
         raise MemoryError(

@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.completion.objectives import ls_objective
 from repro.core.completion.state import (
     CompletionResult,
+    check_observations,
     init_factors,
     khatri_rao_rows,
 )
@@ -53,15 +54,8 @@ def complete_sgd(
     epochs without a new best objective (momentum makes single-epoch
     non-improvement routine, so the window must be generous).
     """
-    indices = np.asarray(indices, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    if len(indices) != len(values):
-        raise ValueError("indices/values length mismatch")
-    if len(values) == 0:
-        raise ValueError("cannot complete a tensor with zero observations")
+    indices, values = check_observations(shape, indices, values)
     d = len(shape)
-    if d < 2:
-        raise ValueError("tensor completion needs order >= 2")
     rng = as_generator(seed)
     if factors is None:
         factors = init_factors(shape, rank, rng=rng)

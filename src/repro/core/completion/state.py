@@ -16,6 +16,8 @@ from repro.utils.rng import as_generator
 __all__ = [
     "init_factors",
     "init_positive_factors",
+    "check_indices",
+    "check_observations",
     "cp_eval",
     "cp_full",
     "cp_size_bytes",
@@ -75,17 +77,60 @@ def cp_eval(factors: list, indices: np.ndarray) -> np.ndarray:
     """Evaluate the CP model at multi-indices, shape ``(m, d)`` -> ``(m,)``.
 
     Vectorized gather-and-product: O(m * d * R) with no Python-level loop
-    over observations.
+    over observations.  ``np.take`` along axis 0 gathers the same rows as
+    ``U[indices[:, j]]`` at about half the per-call cost.
     """
     indices = np.asarray(indices)
     if indices.ndim != 2 or indices.shape[1] != len(factors):
         raise ValueError(
             f"indices must be (m, {len(factors)}), got {indices.shape}"
         )
-    prod = factors[0][indices[:, 0]].copy()
+    prod = np.take(factors[0], indices[:, 0], axis=0)
     for j in range(1, len(factors)):
-        prod *= factors[j][indices[:, j]]
+        prod *= np.take(factors[j], indices[:, j], axis=0)
     return prod.sum(axis=1)
+
+
+def check_indices(shape, indices: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every index lies in ``[0, shape[j])``.
+
+    ``indices`` is an ``(nnz, d)`` integer array.  The error names the
+    first offending mode and value.  Negative indices would otherwise wrap
+    to the last rows under numpy indexing and fit the wrong cells.
+    """
+    if len(indices) == 0:
+        return
+    lo = indices.min(axis=0)
+    hi = indices.max(axis=0)
+    for j, size in enumerate(shape):
+        if lo[j] < 0 or hi[j] >= size:
+            bad = lo[j] if lo[j] < 0 else hi[j]
+            raise ValueError(
+                f"observation index {int(bad)} out of range for mode {j} "
+                f"(size {int(size)})"
+            )
+
+
+def check_observations(shape, indices, values):
+    """Validate a completion problem; returns ``(indices, values)`` arrays.
+
+    The shared entry check of every completion optimizer: matching
+    lengths, at least one observation, order >= 2, ``indices`` of shape
+    ``(nnz, d)`` and in range (:func:`check_indices`).
+    """
+    indices = np.asarray(indices, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    if len(indices) != len(values):
+        raise ValueError("indices/values length mismatch")
+    if len(values) == 0:
+        raise ValueError("cannot complete a tensor with zero observations")
+    d = len(shape)
+    if d < 2:
+        raise ValueError("tensor completion needs order >= 2")
+    if indices.ndim != 2 or indices.shape[1] != d:
+        raise ValueError(f"indices must be (nnz, {d}), got {indices.shape}")
+    check_indices(shape, indices)
+    return indices, values
 
 
 def khatri_rao_rows(
@@ -147,7 +192,8 @@ class ModePlan:
         Stable argsort of the mode's observation indices, ``(nnz,)``.
     sorted_indices
         ``indices[order]`` — full multi-indices in segment-contiguous
-        order, ``(nnz, d)``.
+        order, ``(nnz, d)``, Fortran-ordered so every column is a
+        contiguous gather index.
     bounds, counts
         Segment bounds ``(n_rows + 1,)`` and per-row observation counts.
     observed, obs_rows
@@ -156,14 +202,16 @@ class ModePlan:
         ``counts[obs_rows]`` as float (per-row averaging divisors).
     seg, offsets
         For each sorted observation: its row's position in ``obs_rows``
-        and its position within its segment (padding scatter coordinates).
+        and its position within its segment (its padded coordinates).
     """
 
-    def __init__(self, indices: np.ndarray, j: int, n_rows: int):
+    def __init__(self, indices: np.ndarray, j: int, n_rows: int,
+                 scratch: dict | None = None):
         row_idx = indices[:, j]
         self.n_rows = int(n_rows)
+        self.nnz = len(row_idx)
         self.order = np.argsort(row_idx, kind="stable")
-        self.sorted_indices = indices[self.order]
+        self.sorted_indices = np.asfortranarray(indices[self.order])
         sorted_rows = self.sorted_indices[:, j]
         self.bounds = np.searchsorted(sorted_rows, np.arange(n_rows + 1))
         self.counts = np.diff(self.bounds)
@@ -174,15 +222,17 @@ class ModePlan:
         self.starts_obs = self.bounds[:-1][self.obs_rows]
         self.max_count = int(self.counts_obs.max()) if self.n_obs else 0
         self.seg = np.repeat(np.arange(self.n_obs), self.counts[self.obs_rows])
-        self.offsets = np.arange(len(row_idx)) - self.bounds[:-1][sorted_rows]
+        self.offsets = np.arange(self.nnz) - self.bounds[:-1][sorted_rows]
         self._pad_buffers: dict = {}
+        self._pad_map = None
+        # Backing store of :meth:`scratch`, shared by the plan's modes.
+        self._scratch = {} if scratch is None else scratch
         # Zero-padding costs O(n_obs * max_count); with heavily skewed
         # multiplicities (one row owning most observations) that can dwarf
         # O(nnz) and exhaust memory.  Callers consult this flag and fall
         # back to per-row segment solves when padding is wasteful.
-        nnz = len(row_idx)
         self.pad_feasible = (
-            self.n_obs * self.max_count <= max(8 * nnz, 1 << 16)
+            self.n_obs * self.max_count <= max(8 * self.nnz, 1 << 16)
         )
 
     # -- segment reductions (ragged rows, no Python loop over rows) --------
@@ -195,22 +245,58 @@ class ModePlan:
         """Per-row minima of a sorted per-observation array ``(nnz,)``."""
         return np.minimum.reduceat(arr, self.starts_obs, axis=0)
 
-    def pad(self, arr: np.ndarray, slot: str = "a") -> np.ndarray:
-        """Scatter a sorted per-observation array into padded segments.
+    def _gather_map(self) -> np.ndarray:
+        """Flat padded slot -> sorted observation; padding -> row ``nnz``.
 
-        ``(nnz, R)`` -> ``(n_obs, max_count, R)`` with zero padding.  The
-        buffer is cached per (slot, trailing shape) and only zeroed at
-        creation: segment lengths are fixed for the plan's lifetime, so
-        every scatter overwrites exactly the same positions and padding
-        stays zero.  Distinct ``slot`` names yield distinct buffers for
-        callers that need two padded arrays alive at once.
+        Built on the first :meth:`pad`, so a mode that is never padded
+        (not ``pad_feasible``) never allocates ``n_obs * max_count``.
         """
-        key = (slot,) + arr.shape[1:]
+        if self._pad_map is None:
+            pad_map = np.full(self.n_obs * self.max_count, self.nnz,
+                              dtype=np.intp)
+            pad_map[self.seg * self.max_count + self.offsets] = np.arange(
+                self.nnz
+            )
+            self._pad_map = pad_map
+        return self._pad_map
+
+    def scratch(self, trailing: tuple) -> np.ndarray:
+        """The plan-wide ``(nnz + 1,) + trailing`` scratch array.
+
+        Its last row is zero and stays zero: :meth:`pad` and
+        :meth:`ObservationPlan.khatri_rao` write only the first ``nnz``
+        rows, and only for the duration of one call.
+        """
+        src = self._scratch.get(trailing)
+        if src is None:
+            src = np.zeros((self.nnz + 1,) + trailing)
+            self._scratch[trailing] = src
+        return src
+
+    def pad(self, arr: np.ndarray, slot: str = "a") -> np.ndarray:
+        """Lay a sorted per-observation array out in padded segments.
+
+        ``(nnz, R)`` -> ``(n_obs, max_count, R)`` with zero padding.
+        ``arr`` is copied into a scratch array whose extra last row is
+        zero, and one gather through :meth:`_gather_map` fills every slot
+        of the buffer: observations from their sorted position, padding
+        from the zero row.  The scratch array is shared by all modes of
+        the plan (the copy makes any previous content irrelevant); the
+        output buffer is cached per (slot, trailing shape) and rewritten
+        in full on every call.  Distinct ``slot`` names yield distinct
+        buffers for callers that need two padded arrays alive at once.
+        """
+        trailing = arr.shape[1:]
+        key = (slot,) + trailing
         buf = self._pad_buffers.get(key)
         if buf is None:
-            buf = np.zeros((self.n_obs, self.max_count) + arr.shape[1:])
+            buf = np.empty((self.n_obs, self.max_count) + trailing)
             self._pad_buffers[key] = buf
-        buf[self.seg, self.offsets] = arr
+        src = self.scratch(trailing)
+        src[:-1] = arr
+        # Every map entry is in [0, nnz] by construction: no bounds check.
+        np.take(src, self._gather_map(), axis=0, mode="clip",
+                out=buf.reshape((-1,) + trailing))
         return buf
 
     def gram(self, K: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -247,11 +333,15 @@ class ObservationPlan:
                 f"indices must be (nnz, {len(shape)}), got {indices.shape}"
             )
         self.shape = tuple(int(I) for I in shape)
+        # Checked once here, so every gather on these indices (and on the
+        # modes' sorted copies) may skip numpy's per-element bounds check.
+        check_indices(self.shape, indices)
         self.indices = indices
         self.d = len(self.shape)
         self.nnz = len(indices)
         self._modes: list[ModePlan | None] = [None] * self.d
-        self._kr_buffers: dict = {}
+        self._buffers: dict = {}
+        self._scratch: dict = {}
         self._observed_masks: dict = {}
 
     def observed_mask(self, j: int) -> np.ndarray:
@@ -275,15 +365,17 @@ class ObservationPlan:
         """The (lazily built) sorted layout of mode ``j``."""
         mp = self._modes[j]
         if mp is None:
-            mp = ModePlan(self.indices, j, self.shape[j])
+            mp = ModePlan(self.indices, j, self.shape[j],
+                          scratch=self._scratch)
             self._modes[j] = mp
         return mp
 
-    def _buffer(self, name: str, rank: int) -> np.ndarray:
-        buf = self._kr_buffers.get((name, rank))
+    def buffer(self, name: str, rank: int) -> np.ndarray:
+        """A plan-owned ``(nnz, rank)`` work array, one per ``name``."""
+        buf = self._buffers.get((name, rank))
         if buf is None:
             buf = np.empty((self.nnz, rank))
-            self._kr_buffers[(name, rank)] = buf
+            self._buffers[(name, rank)] = buf
         return buf
 
     def khatri_rao(self, factors: list, j: int) -> np.ndarray:
@@ -292,18 +384,30 @@ class ObservationPlan:
         Equivalent to ``khatri_rao_rows(factors, indices, j)[order]`` but
         gathers directly on the pre-sorted multi-indices (no reorder pass)
         into a plan-owned buffer (no per-sweep allocation).
+
+        The indices were range-checked when the plan was built, so with
+        each factor's row count checked against the plan's shape here the
+        gathers run unchecked (``mode="clip"`` never clips): ``"raise"``
+        mode would buffer ``out`` and bounds-check every element.
         """
+        if len(factors) != self.d or any(
+            U.shape[0] != I for U, I in zip(factors, self.shape)
+        ):
+            raise ValueError(
+                f"factor row counts {[U.shape[0] for U in factors]} do not "
+                f"match the plan's shape {list(self.shape)}"
+            )
         mp = self.mode(j)
         idx = mp.sorted_indices
         rank = factors[0].shape[1]
-        K = self._buffer("kr", rank)
-        scratch = self._buffer("kr_scratch", rank)
+        K = self.buffer("kr", rank)
+        scratch = mp.scratch((rank,))[:-1]
         first = 0 if j != 0 else 1
-        np.take(factors[first], idx[:, first], axis=0, out=K)
+        np.take(factors[first], idx[:, first], axis=0, out=K, mode="clip")
         for j2 in range(self.d):
             if j2 == j or j2 == first:
                 continue
-            np.take(factors[j2], idx[:, j2], axis=0, out=scratch)
+            np.take(factors[j2], idx[:, j2], axis=0, out=scratch, mode="clip")
             K *= scratch
         return K
 

@@ -29,6 +29,7 @@ import scipy.linalg
 from repro.core.completion.state import (
     CompletionResult,
     ObservationPlan,
+    check_observations,
     solve_batched_spd,
 )
 from repro.utils.rng import as_generator
@@ -134,15 +135,8 @@ def complete_tucker(
         ``factors`` holds a single :class:`TuckerFactors`; ``history`` is
         the per-sweep regularized mean-squared objective.
     """
-    indices = np.asarray(indices, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    if len(indices) != len(values):
-        raise ValueError("indices/values length mismatch")
-    if len(values) == 0:
-        raise ValueError("cannot complete a tensor with zero observations")
+    indices, values = check_observations(shape, indices, values)
     d = len(shape)
-    if d < 2:
-        raise ValueError("tensor completion needs order >= 2")
     if isinstance(rank, int):
         ranks = tuple(min(rank, int(I)) for I in shape)
     else:
